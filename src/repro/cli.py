@@ -545,7 +545,7 @@ def cmd_gateway(args) -> int:
     import asyncio
 
     from repro.gateway.admission import policies_from_config
-    from repro.gateway.server import Gateway, GatewayOptions
+    from repro.gateway.server import GatewayOptions, run_gateway
 
     tenants = None
     if args.tenants_config:
@@ -557,26 +557,24 @@ def cmd_gateway(args) -> int:
     elif args.metrics_interval is not None:
         metrics_stream = sys.stderr
 
-    async def _main() -> None:
-        gateway = Gateway(GatewayOptions(
-            host=args.host, port=args.port, workers=args.workers,
-            max_queue=args.max_queue, tenants=tenants,
-            cache_root=args.cache,
-            cache_max_bytes=_cache_max_bytes(args),
-            timeout=args.timeout,
-            max_request_bytes=args.max_request_bytes,
-            metrics_interval=args.metrics_interval,
-            metrics_stream=metrics_stream,
-            base_dir=args.base_dir,
-            incremental=not args.no_incremental))
-        await gateway.start()
+    options = GatewayOptions(
+        host=args.host, port=args.port, workers=args.workers,
+        max_queue=args.max_queue, tenants=tenants,
+        cache_root=args.cache,
+        cache_max_bytes=_cache_max_bytes(args),
+        timeout=args.timeout,
+        max_request_bytes=args.max_request_bytes,
+        metrics_interval=args.metrics_interval,
+        metrics_stream=metrics_stream,
+        base_dir=args.base_dir,
+        incremental=not args.no_incremental)
+
+    def _ready(gateway) -> None:
         print(f"gateway listening on {args.host}:{gateway.port} "
               f"({args.workers} shard(s))", file=sys.stderr, flush=True)
-        gateway.install_signal_handlers()
-        await gateway.serve_forever()
 
     try:
-        asyncio.run(_main())
+        asyncio.run(run_gateway(options, on_ready=_ready))
     finally:
         if args.metrics_out and metrics_stream is not None:
             metrics_stream.close()

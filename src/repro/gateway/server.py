@@ -44,7 +44,7 @@ import signal
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.gateway import protocol
 from repro.gateway.admission import (
@@ -764,11 +764,18 @@ class Gateway:
         await writer.drain()
 
 
-async def run_gateway(options: GatewayOptions) -> Dict[str, object]:
+async def run_gateway(options: GatewayOptions,
+                      on_ready: Optional[Callable[[Gateway], None]] = None,
+                      ) -> Dict[str, object]:
     """CLI entry: start, serve until a signal, drain, and return the
-    final metrics snapshot."""
+    final metrics snapshot. ``on_ready`` (e.g. the CLI's "listening"
+    line) runs once the port is bound and SIGINT/SIGTERM already
+    drain, so a signal sent the moment readiness shows cannot kill
+    the process."""
     gateway = Gateway(options)
     await gateway.start()
     gateway.install_signal_handlers()
+    if on_ready is not None:
+        on_ready(gateway)
     await gateway.serve_forever()
     return gateway.metrics()

@@ -38,14 +38,16 @@ from repro.pts import PTSet
 def pointer_carrying_objects(module: Module, andersen: AndersenResult) -> Set[MemObject]:
     """Objects whose contents may hold pointers (non-empty content
     points-to set under the pre-analysis). Only these need memory
-    SSA: loads from the rest can never yield points-to facts."""
+    SSA: loads from the rest can never yield points-to facts. Field
+    objects nest (a struct array inside a struct), so fields are
+    walked transitively."""
     relevant: Set[MemObject] = set()
-    for obj in module.objects:
+    stack: List[MemObject] = list(module.objects)
+    while stack:
+        obj = stack.pop()
         if andersen.pts(obj):
             relevant.add(obj)
-        for field_obj in obj.fields().values():
-            if andersen.pts(field_obj):
-                relevant.add(field_obj)
+        stack.extend(obj.fields().values())
     return relevant
 
 

@@ -8,13 +8,13 @@ and the Pthreads primitives ``fork``/``join``/``lock``/``unlock``
 to the partial-SSA IR of :mod:`repro.ir`.
 """
 
-from repro.minic.lexer import Lexer, Token, TokenKind, tokenize
+from repro.minic.lexer import Token, TokenKind, tokenize
 from repro.minic.errors import MiniCError, ParseError, SemanticError
 from repro.minic.parser import parse
 from repro.minic import ast
 
 __all__ = [
-    "Lexer", "Token", "TokenKind", "tokenize",
+    "Token", "TokenKind", "tokenize",
     "MiniCError", "ParseError", "SemanticError",
     "parse", "ast",
 ]

@@ -1,15 +1,19 @@
 """MiniC lexer.
 
-A hand-written scanner producing a flat token list. Supports ``//``
-and ``/* */`` comments, decimal integer literals, identifiers,
-keywords, and the C operator/punctuation subset MiniC uses.
+A one-pass scanner producing a flat token list. One master regular
+expression, with a named group per token class, is matched back to
+back over the source; it supports ``//`` and ``/* */`` comments,
+decimal integer literals, identifiers, keywords, and the C
+operator/punctuation subset MiniC uses. Lines and columns come from
+counting the newlines in skipped whitespace and comments.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import List
+from typing import List, NoReturn
 
 from repro.minic.errors import LexError
 
@@ -39,6 +43,8 @@ PUNCTUATORS = [
 
 @dataclass
 class Token:
+    __slots__ = ("kind", "text", "line", "col")
+
     kind: TokenKind
     text: str
     line: int
@@ -48,85 +54,78 @@ class Token:
         return f"{self.kind.value}:{self.text!r}@{self.line}:{self.col}"
 
 
-class Lexer:
-    """Scans MiniC source text into tokens."""
+# Alternatives are tried in order. ``\w`` is exactly ``str.isalnum()``
+# or ``_`` and ``\d`` exactly ``str.isdecimal()``, so an identifier
+# continues over any Unicode letter or digit and a number is a run of
+# decimal digits that ``int()`` accepts. A number directly followed by
+# a letter or by a non-decimal digit is left to ``other``, as is
+# anything else no token starts with: identifiers that begin with a
+# non-ASCII character and every lexical error take that slow path.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)",
+    r"(?P<ident>[A-Za-z_]\w*)",
+    r"(?P<unterminated>/\*)",
+    r"(?P<punct>" + "|".join(map(re.escape, PUNCTUATORS)) + ")",
+    r"(?P<number>\d+(?![^\W_]))",
+    r"(?P<other>[^\W\d]\w*|[\s\S])",
+]))
 
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line = self.line
-                self._advance(2)
-                while self.pos < len(self.source) and not (self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise LexError("unterminated block comment", start_line)
-                self._advance(2)
-            else:
-                return
-
-    def next_token(self) -> Token:
-        """Scan and return the next token (EOF at end of input)."""
-        self._skip_trivia()
-        line, col = self.line, self.col
-        ch = self._peek()
-        if not ch:
-            return Token(TokenKind.EOF, "", line, col)
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self.source[start:self.pos]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            return Token(kind, text, line, col)
-        if ch.isdigit():
-            start = self.pos
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek().isalpha():
-                raise LexError(f"malformed number near {self.source[start:self.pos+1]!r}", line, col)
-            return Token(TokenKind.NUMBER, self.source[start:self.pos], line, col)
-        for punct in PUNCTUATORS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, line, col)
-        raise LexError(f"unexpected character {ch!r}", line, col)
-
-    def tokens(self) -> List[Token]:
-        """The full token stream, ending with one EOF token."""
-        result: List[Token] = []
-        while True:
-            tok = self.next_token()
-            result.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return result
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_PUNCT = TokenKind.PUNCT
+_NUMBER = TokenKind.NUMBER
 
 
 def tokenize(source: str) -> List[Token]:
-    """Convenience wrapper: tokenize *source* fully."""
-    return Lexer(source).tokens()
+    """Scan *source* into its full token stream, ending with one EOF
+    token. Raises :class:`LexError` at the first malformed token."""
+    tokens: List[Token] = []
+    append = tokens.append
+    keywords = KEYWORDS
+    line = 1
+    line_start = 0  # index of the first character of the current line
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "skip":
+            text = match.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
+        elif kind == "ident":
+            text = match.group()
+            append(Token(_KEYWORD if text in keywords else _IDENT, text,
+                         line, match.start() - line_start + 1))
+        elif kind == "punct":
+            append(Token(_PUNCT, match.group(), line,
+                         match.start() - line_start + 1))
+        elif kind == "number":
+            append(Token(_NUMBER, match.group(), line,
+                         match.start() - line_start + 1))
+        elif kind == "unterminated":
+            raise LexError("unterminated block comment", line)
+        else:
+            text = match.group()
+            col = match.start() - line_start + 1
+            if not text[0].isalpha():
+                _lex_error(source, match.start(), line, col)
+            append(Token(_IDENT, text, line, col))
+    append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens
+
+
+def _lex_error(source: str, pos: int, line: int, col: int) -> NoReturn:
+    """Raise the diagnostic for the malformed token at *pos*."""
+    ch = source[pos]
+    if ch.isdigit():
+        end = pos
+        while end < len(source) and source[end].isdigit():
+            end += 1
+        digits = source[pos:end]
+        if not digits.isdecimal():
+            raise LexError(f"non-decimal digit in number {digits!r}", line, col)
+        if end < len(source) and source[end].isalpha():
+            raise LexError(f"malformed number near {source[pos:end + 1]!r}", line, col)
+        # A well-formed number: what follows it starts no token.
+        col, ch = col + end - pos, source[end]
+    raise LexError(f"unexpected character {ch!r}", line, col)

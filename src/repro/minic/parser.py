@@ -22,6 +22,17 @@ _BROADCAST_NAMES = {"broadcast", "pthread_cond_broadcast"}
 _BARRIER_INIT_NAMES = {"barrier_init", "pthread_barrier_init"}
 _BARRIER_WAIT_NAMES = {"barrier_wait", "pthread_barrier_wait"}
 
+# Binary operators by precedence level, loosest first.
+_BINARY_LEVEL = {
+    "||": 0,
+    "&&": 1,
+    "==": 2, "!=": 2,
+    "<": 3, ">": 3, "<=": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
+_UNARY_OPS = {"&", "*", "-", "!"}
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.minic.ast.Program`."""
@@ -33,8 +44,11 @@ class Parser:
     # -- token helpers --------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # _advance never moves past the EOF token, so only a lookahead
+        # offset can run off the end.
+        if not offset:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -43,8 +57,9 @@ class Parser:
         return tok
 
     def _check(self, text: str) -> bool:
-        tok = self._peek()
-        return tok.kind in (TokenKind.PUNCT, TokenKind.KEYWORD) and tok.text == text
+        # A plain text compare: no IDENT or NUMBER spelling equals a
+        # punctuator or keyword, and EOF's text is empty.
+        return self.tokens[self.pos].text == text
 
     def _accept(self, text: str) -> Optional[Token]:
         if self._check(text):
@@ -353,32 +368,27 @@ class Parser:
 
     # -- expressions ----------------------------------------------------
 
-    _BINARY_LEVELS = [
-        ["||"],
-        ["&&"],
-        ["==", "!="],
-        ["<", ">", "<=", ">="],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
     def _parse_expr(self) -> ast.Expr:
         return self._parse_binary(0)
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        lhs = self._parse_binary(level + 1)
-        while any(self._check(op) for op in self._BINARY_LEVELS[level]):
-            op_tok = self._advance()
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: operators of *min_level* or tighter.
+        The right operand binds one level tighter, which makes every
+        binary operator left-associative."""
+        lhs = self._parse_unary()
+        while True:
+            op_tok = self.tokens[self.pos]
+            level = _BINARY_LEVEL.get(op_tok.text)
+            if level is None or level < min_level:
+                return lhs
+            self.pos += 1
             rhs = self._parse_binary(level + 1)
             lhs = ast.BinaryExpr(op=op_tok.text, lhs=lhs, rhs=rhs, line=op_tok.line)
-        return lhs
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in ("&", "*", "-", "!"):
-            self._advance()
+        tok = self.tokens[self.pos]
+        if tok.text in _UNARY_OPS:
+            self.pos += 1
             operand = self._parse_unary()
             return ast.UnaryExpr(op=tok.text, operand=operand, line=tok.line)
         return self._parse_postfix()

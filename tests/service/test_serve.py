@@ -113,3 +113,19 @@ class TestServeLoop:
             '"config": {"time_budget": 1e-9}}'])
         assert responses[0]["status"] == "degraded"
         assert responses[0]["degraded_reason"] == "budget-exhausted"
+
+
+class TestHostileSource:
+    def test_non_decimal_digit_is_a_located_lex_error(self):
+        """``²`` used to escape the frontend as an unlocated
+        ``ValueError`` from ``int()``."""
+        lines = [json.dumps({"source": "int g = ²;\nint main() { return 0; }",
+                             "name": "sup", "id": 1}),
+                 '{"workload": "word_count", "id": 2}']
+        served, responses = _serve(lines)
+        assert served == 1
+        err = responses[0]
+        assert err["status"] == "error" and err["id"] == 1
+        assert err["error"]["type"] == "LexError"
+        assert "(line 1, col 9)" in err["error"]["message"]
+        assert responses[1]["status"] == "ok"
